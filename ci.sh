@@ -16,6 +16,12 @@ GMT_JOBS=8 ./target/release/repro --quick --fig 7 > target/ci_fig7_parallel.txt
 GMT_JOBS=1 ./target/release/repro --quick --fig 7 > target/ci_fig7_serial.txt
 cmp target/ci_fig7_parallel.txt target/ci_fig7_serial.txt
 
+# Whole-figure golden: the quick Figure 1/6/7/8 output — dynamic
+# counts and simulated cycles alike — must match the pinned run byte
+# for byte. Figures 1 and 7 here read the counts off the timed
+# matrix's simulations, so this also pins them to the interpreter's.
+cmp target/ci_repro_parallel.txt tests/golden/fig_all_quick.txt
+
 # Decoded-engine gate: the flat-stream executors must be observably
 # identical to the ID-walking reference executors, the throughput
 # bench must at least run (including the queue-bound skip/noskip

@@ -19,6 +19,11 @@
 //!   per-core retired-instruction counts at both uniform and
 //!   allocated queue depths, and the fast-forward obeys the
 //!   conservation law `engine_steps + skipped_cycles = noskip steps`;
+//! - the simulator's per-core issue counts, split by class
+//!   (computation / communication / synchronization), equal the
+//!   functional interpreters' per-thread dynamic counts, for the
+//!   sequential program and for the generated threads — the harness
+//!   takes timed cells' dynamic counts from the simulator alone;
 //! - on a deterministic third of the cases, the **trace layer**: a
 //!   traced run (small event ring) reports the same cycle count as
 //!   the untraced engines (no observer effect), its per-core cycle
@@ -35,12 +40,13 @@
 
 use crate::ast::{compile, seeded_partition, FuzzCase, Mode};
 use gmt_core::{verify_mt, verify_mt_uniform, CocoConfig, Parallelized, Parallelizer, Scheduler};
-use gmt_ir::interp::{ExecConfig, ExecError, RunResult};
+use gmt_ir::interp::{DynCounts, ExecConfig, ExecError, RunResult};
 use gmt_ir::interp_mt::{run_mt, run_mt_reference, MtRunResult, QueueConfig};
 use gmt_ir::{Function, Profile};
 use gmt_sim::{
-    check_attribution, check_critical_path, simulate_decoded_opts, simulate_decoded_traced_opts,
-    simulate_reference, CritPathSink, MachineConfig, SimOptions, SimResult, TraceAggregator,
+    check_attribution, check_critical_path, simulate, simulate_decoded_opts,
+    simulate_decoded_traced_opts, simulate_reference, CritPathSink, MachineConfig, SimOptions,
+    SimResult, TraceAggregator,
 };
 
 /// Dynamic-instruction fuel for the functional executors. Generated
@@ -88,6 +94,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
         }
     };
     report.seq_steps = seq.counts.total();
+    seq_sim_check(&f, &seq)?;
 
     // Phase 2: the pipeline (partition → COCO → MTCG).
     let par = match parallelize(&f, &seq.profile, case) {
@@ -115,9 +122,11 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
 
     // Phase 4: functional MT at capacities 1 and 32.
     let mut totals_by_cap = Vec::new();
+    let mut per_thread = Vec::new();
     for cap in [1usize, 32] {
         let mt = mt_cross_check(&f, &par, &seq, cap, &exec)?;
         totals_by_cap.push((cap, mt.totals()));
+        per_thread = mt.per_thread;
     }
     let (c0, t0) = &totals_by_cap[0];
     for (c, t) in &totals_by_cap[1..] {
@@ -138,7 +147,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseReport, String> {
         if par.queue_depths.is_empty() { vec![1] } else { par.queue_depths.clone() },
     );
     for (label, machine) in [("uniform", &uniform), ("allocated", &allocated)] {
-        let sim = sim_cross_check(&f, &par, &seq, machine, label)?;
+        let sim = sim_cross_check(&f, &par, &seq, &per_thread, machine, label)?;
         report.cycles = sim.cycles;
     }
 
@@ -205,6 +214,28 @@ fn seq_cross_check(
         (Ok(_), Err(e)) => Err(format!("[seq] decoded succeeded, reference failed: {e:?}")),
         (Err(e), Ok(_)) => Err(format!("[seq] decoded failed, reference succeeded: {e:?}")),
     }
+}
+
+/// Simulates the sequential program and checks its observables and
+/// its issue counts by class against the sequential interpreter's.
+fn seq_sim_check(f: &Function, seq: &RunResult) -> Result<(), String> {
+    let machine = MachineConfig { max_cycles: MAX_CYCLES, ..MachineConfig::default() };
+    let sim = simulate(std::slice::from_ref(f), &[], |_, _| {}, &machine)
+        .map_err(|e| format!("[seq sim] {e:?}"))?;
+    if sim.return_value != seq.return_value || sim.output != seq.output {
+        return Err(format!(
+            "[seq sim] observables diverge from the interpreter (ret {:?} vs {:?})",
+            sim.return_value, seq.return_value
+        ));
+    }
+    if sim.counts() != seq.counts {
+        return Err(format!(
+            "[seq sim] dynamic counts: simulated {:?} vs interpreted {:?}",
+            sim.counts(),
+            seq.counts
+        ));
+    }
+    Ok(())
 }
 
 /// Drives the pipeline for the case's mode. `Err` is a *typed*
@@ -289,12 +320,14 @@ fn machine_for(num_queues: u32, depths: Vec<usize>) -> MachineConfig {
     m
 }
 
-/// Runs the three timed engines and checks full agreement plus the
-/// fast-forward conservation law.
+/// Runs the three timed engines and checks full agreement, the
+/// fast-forward conservation law, and per-core issue counts by class
+/// against the functional MT interpreter's `per_thread` counts.
 fn sim_cross_check(
     f: &Function,
     par: &Parallelized,
     seq: &RunResult,
+    per_thread: &[DynCounts],
     machine: &MachineConfig,
     label: &str,
 ) -> Result<SimResult, String> {
@@ -340,6 +373,12 @@ fn sim_cross_check(
     };
     if instrs(&ff) != instrs(&refr) || instrs(&noskip) != instrs(&refr) {
         return Err(format!("[sim {label}] per-core instruction counts diverge across engines"));
+    }
+    let by_class: Vec<DynCounts> = ff.cores.iter().map(gmt_sim::CoreStats::counts).collect();
+    if by_class != per_thread {
+        return Err(format!(
+            "[sim {label}] per-core counts {by_class:?} vs interpreter per-thread {per_thread:?}"
+        ));
     }
     if noskip.skipped_cycles != 0 {
         return Err(format!(

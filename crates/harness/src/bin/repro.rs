@@ -45,8 +45,8 @@
 use gmt_harness::figures;
 use gmt_harness::{
     comm_attribution_table, explain_cell, explain_json, explain_report, metrics_table,
-    queue_comm_table, run_all_metrics, stall_table, trace_cell, verify_matrix, verify_table,
-    Scale, SchedulerKind,
+    queue_comm_table, run_all, run_all_metrics, stall_table, trace_cell, verify_matrix,
+    verify_table, Scale, SchedulerKind,
 };
 use std::collections::HashSet;
 
@@ -227,21 +227,22 @@ fn main() {
         print!("{}", figures::figure6b());
         println!();
     }
-    if want("1") {
-        for &k in &scheds {
-            print!("{}", figures::figure1(k, scale));
-            println!();
-        }
-    }
-    if want("7") {
-        for &k in &scheds {
-            print!("{}", figures::figure7(k, scale));
-            println!();
-        }
-    }
-    if want("8") {
-        for &k in &scheds {
-            print!("{}", figures::figure8(k, scale));
+    // Figures 1, 7 and 8 render from the same per-scheduler matrix, so
+    // it is evaluated once: timed when Figure 8 is wanted (its counts
+    // then come from the simulator), else on the cheaper interpreter.
+    let matrix: Vec<_> = if want("1") || want("7") || want("8") {
+        scheds.iter().map(|&k| (k, run_all(k, want("8"), scale))).collect()
+    } else {
+        Vec::new()
+    };
+    for id in ["1", "7", "8"].into_iter().filter(|id| want(id)) {
+        for (k, rows) in &matrix {
+            let text = match id {
+                "1" => figures::render_figure1(rows, *k),
+                "7" => figures::render_figure7(rows, *k),
+                _ => figures::render_figure8(rows, *k),
+            };
+            print!("{text}");
             println!();
         }
     }

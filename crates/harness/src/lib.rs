@@ -4,10 +4,15 @@
 //! (relative dynamic communication after COCO), and Figure 8 (speedup
 //! over single-threaded execution without and with COCO).
 //!
-//! Dynamic instruction counts come from the exact functional
-//! multi-threaded interpreter; cycle counts come from the `gmt-sim`
-//! machine model. Profiles are always collected on *train* inputs and
-//! measurements on *ref* inputs.
+//! Each measured program runs once. An untimed evaluation (Figures 1
+//! and 7 alone) runs it on the functional interpreters, which supply
+//! the dynamic instruction counts. A timed evaluation (Figure 8, and
+//! every figure of `--fig all`) runs it on the `gmt-sim` machine model
+//! only, which supplies the cycle counts and — from its per-core issue
+//! counters, split the same three ways — the dynamic instruction
+//! counts. Either way each variant's return value and output trace
+//! must match the sequential run's. Profiles are always collected on
+//! *train* inputs and measurements on *ref* inputs.
 //!
 //! The experiment matrix is embarrassingly parallel, so [`run_all`]
 //! fans the per-benchmark evaluations out over the
@@ -226,7 +231,7 @@ pub struct ArbStats {
 }
 
 /// Evaluates one workload under one scheduler: baseline MTCG and
-/// MTCG+COCO, functional counts, and (optionally) timed cycles.
+/// MTCG+COCO, dynamic counts, and (optionally) timed cycles.
 ///
 /// # Errors
 ///
@@ -243,10 +248,18 @@ pub fn evaluate(
 
 /// [`evaluate`], also returning the per-variant [`RunMetrics`].
 ///
+/// Each program — sequential, baseline MTCG, MTCG+COCO — executes
+/// exactly once: through the cycle-level simulator when `timed`
+/// (dynamic counts then come from its per-core issue counters), else
+/// through the functional interpreters. Either way every variant's
+/// return value and output trace must equal the sequential run's.
+///
 /// # Errors
 ///
 /// Returns a [`HarnessError`] naming the benchmark and the failing
-/// phase if parallelization or execution fails.
+/// phase if parallelization or execution fails, or with phase
+/// `"output check"` if a variant's observables differ from the
+/// sequential run's.
 pub fn evaluate_full(
     w: &Workload,
     kind: SchedulerKind,
@@ -259,78 +272,116 @@ pub fn evaluate_full(
         Scale::Quick => &w.train_args,
         Scale::Full => &w.ref_args,
     };
-    let seq = gmt_ir::interp::run_with_memory(&w.function, args, w.init, &exec_config())
-        .map_err(fail(b, "sequential run"))?;
+    let seq = if timed {
+        simulate(std::slice::from_ref(&w.function), args, w.init, &machine())
+            .map(Run::from)
+            .map_err(fail(b, "sequential sim"))?
+    } else {
+        gmt_ir::interp::run_with_memory(&w.function, args, w.init, &exec_config())
+            .map(|r| Run::functional(r.counts, r.return_value, r.output))
+            .map_err(fail(b, "sequential run"))?
+    };
 
     let (base, coco, arb) = parallelize_pair(w, kind, &train.profile)?;
 
-    let t = Instant::now();
-    let mtcg_counts = measure_counts(w, &base, kind, args).map_err(fail(b, "MTCG run"))?;
-    let mut mtcg_run_ns = t.elapsed().as_nanos() as u64;
-    let t = Instant::now();
-    let coco_counts = measure_counts(w, &coco, kind, args).map_err(fail(b, "COCO run"))?;
-    let mut coco_run_ns = t.elapsed().as_nanos() as u64;
+    let run_variant = |p: &Parallelized, phase: &'static str| -> Result<Run, HarnessError> {
+        let t = Instant::now();
+        let mut run = if timed {
+            simulate(p.threads(), args, w.init, &machine_for(p, kind)).map(Run::from)
+        } else {
+            let queues = QueueConfig {
+                num_queues: p.num_queues().max(1) as usize,
+                capacity: kind.queue_depth(),
+            };
+            run_mt(p.threads(), args, w.init, &queues, &exec_config())
+                .map(|r| Run::functional(r.totals(), r.return_value, r.output))
+        }
+        .map_err(fail(b, phase))?;
+        run.ns = t.elapsed().as_nanos() as u64;
+        if (run.return_value, &run.output) != (seq.return_value, &seq.output) {
+            return Err(HarnessError {
+                benchmark: b,
+                phase: "output check",
+                source: format!(
+                    "{phase}: returned {:?} with {} outputs, sequential returned {:?} with {}",
+                    run.return_value,
+                    run.output.len(),
+                    seq.return_value,
+                    seq.output.len()
+                ),
+            });
+        }
+        Ok(run)
+    };
+    let (mtcg_phase, coco_phase) =
+        if timed { ("timed MTCG sim", "timed COCO sim") } else { ("MTCG run", "COCO run") };
+    let mtcg = run_variant(&base, mtcg_phase)?;
+    let coco_run = run_variant(&coco, coco_phase)?;
 
-    let mut result = BenchResult {
+    let result = BenchResult {
         benchmark: b,
         seq_instrs: seq.counts.total(),
-        seq_cycles: 0,
-        mtcg: VariantResult { counts: mtcg_counts, cycles: 0 },
-        coco: VariantResult { counts: coco_counts, cycles: 0 },
+        seq_cycles: seq.cycles,
+        mtcg: VariantResult { counts: mtcg.counts, cycles: mtcg.cycles },
+        coco: VariantResult { counts: coco_run.counts, cycles: coco_run.cycles },
     };
-    let mut mtcg_stalls = StallBreakdown::default();
-    let mut coco_stalls = StallBreakdown::default();
-    let mut mtcg_engine = (0u64, 0u64); // (engine_steps, skipped_cycles)
-    let mut coco_engine = (0u64, 0u64);
-    if timed {
-        let machine = MachineConfig::default();
-        let seq_sim = simulate(std::slice::from_ref(&w.function), args, w.init, &machine)
-            .map_err(fail(b, "sequential sim"))?;
-        result.seq_cycles = seq_sim.cycles;
-        let t = Instant::now();
-        let sim = timed_sim(w, &base, kind, args).map_err(fail(b, "timed MTCG sim"))?;
-        result.mtcg.cycles = sim.cycles;
-        mtcg_stalls = StallBreakdown::from_cores(&sim.cores);
-        mtcg_engine = (sim.engine_steps, sim.skipped_cycles);
-        mtcg_run_ns += t.elapsed().as_nanos() as u64;
-        let t = Instant::now();
-        let sim = timed_sim(w, &coco, kind, args).map_err(fail(b, "timed COCO sim"))?;
-        result.coco.cycles = sim.cycles;
-        coco_stalls = StallBreakdown::from_cores(&sim.cores);
-        coco_engine = (sim.engine_steps, sim.skipped_cycles);
-        coco_run_ns += t.elapsed().as_nanos() as u64;
-    }
+    let record = |variant: &'static str, p: &Parallelized, run: &Run, arb: ArbStats| RunMetrics {
+        benchmark: b,
+        scheduler: kind.name(),
+        variant,
+        wall_ns: p.timings.total_ns() + run.ns,
+        instrs: run.counts.total(),
+        cycles: run.cycles,
+        timings: p.timings,
+        arb_probes: arb.probes,
+        arb_hits: arb.hits,
+        stalls: run.stalls,
+        engine_steps: run.engine_steps,
+        skipped_cycles: run.skipped_cycles,
+    };
     let metrics = vec![
-        RunMetrics {
-            benchmark: b,
-            scheduler: kind.name(),
-            variant: "mtcg",
-            wall_ns: base.timings.total_ns() + mtcg_run_ns,
-            instrs: result.mtcg.counts.total(),
-            cycles: result.mtcg.cycles,
-            timings: base.timings,
-            arb_probes: arb.probes,
-            arb_hits: arb.hits,
-            stalls: mtcg_stalls,
-            engine_steps: mtcg_engine.0,
-            skipped_cycles: mtcg_engine.1,
-        },
-        RunMetrics {
-            benchmark: b,
-            scheduler: kind.name(),
-            variant: "coco",
-            wall_ns: coco.timings.total_ns() + coco_run_ns,
-            instrs: result.coco.counts.total(),
-            cycles: result.coco.cycles,
-            timings: coco.timings,
-            arb_probes: 0,
-            arb_hits: 0,
-            stalls: coco_stalls,
-            engine_steps: coco_engine.0,
-            skipped_cycles: coco_engine.1,
-        },
+        record("mtcg", &base, &mtcg, arb),
+        record("coco", &coco, &coco_run, ArbStats::default()),
     ];
     Ok(Evaluation { result, metrics })
+}
+
+/// One execution of one program, by whichever executor ran it: the
+/// observables the output check compares, the dynamic counts, and
+/// (simulated runs only) the timing results.
+#[derive(Default)]
+struct Run {
+    counts: DynCounts,
+    return_value: Option<i64>,
+    output: Vec<i64>,
+    cycles: u64,
+    stalls: StallBreakdown,
+    engine_steps: u64,
+    skipped_cycles: u64,
+    /// Host time of the execution (set by the caller that timed it).
+    ns: u64,
+}
+
+impl Run {
+    /// A functional-interpreter run: counts and observables, no timing.
+    fn functional(counts: DynCounts, return_value: Option<i64>, output: Vec<i64>) -> Run {
+        Run { counts, return_value, output, ..Run::default() }
+    }
+}
+
+impl From<gmt_sim::SimResult> for Run {
+    fn from(sim: gmt_sim::SimResult) -> Run {
+        Run {
+            counts: sim.counts(),
+            cycles: sim.cycles,
+            stalls: StallBreakdown::from_cores(&sim.cores),
+            engine_steps: sim.engine_steps,
+            skipped_cycles: sim.skipped_cycles,
+            return_value: sim.return_value,
+            output: sim.output,
+            ns: 0,
+        }
+    }
 }
 
 /// Produces the (baseline MTCG, MTCG+COCO) pair for one workload and
@@ -466,43 +517,22 @@ fn parallelize_pair(
     }
 }
 
+/// The default machine with its cycle budget set to the workload
+/// interpreter's step budget: timed cells run no functional pass, so a
+/// runaway program must stop on this bound, not on the simulator's
+/// 2-billion-cycle default.
+fn machine() -> MachineConfig {
+    MachineConfig { max_cycles: exec_config().max_steps, ..MachineConfig::default() }
+}
+
 fn machine_for(p: &Parallelized, kind: SchedulerKind) -> MachineConfig {
-    let mut m = MachineConfig::default().with_queue_depth(kind.queue_depth());
+    let mut m = machine().with_queue_depth(kind.queue_depth());
     // Queue allocation (footnote 1 of the paper) is not implemented, so
     // size the SA to the plan when it needs more than 256 queues.
     if p.num_queues() as usize > m.sa.num_queues {
         m.sa.num_queues = p.num_queues() as usize;
     }
     m
-}
-
-fn measure_counts(
-    w: &Workload,
-    p: &Parallelized,
-    kind: SchedulerKind,
-    args: &[i64],
-) -> Result<DynCounts, gmt_ir::interp::ExecError> {
-    let mt = run_mt(
-        p.threads(),
-        args,
-        w.init,
-        &QueueConfig {
-            num_queues: (p.num_queues().max(1)) as usize,
-            capacity: kind.queue_depth(),
-        },
-        &exec_config(),
-    )?;
-    Ok(mt.totals())
-}
-
-fn timed_sim(
-    w: &Workload,
-    p: &Parallelized,
-    kind: SchedulerKind,
-    args: &[i64],
-) -> Result<gmt_sim::SimResult, gmt_ir::interp::ExecError> {
-    let machine = machine_for(p, kind);
-    simulate(p.threads(), args, w.init, &machine)
 }
 
 /// Runs a whole figure's worth of measurements on the worker pool

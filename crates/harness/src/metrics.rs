@@ -73,8 +73,9 @@ pub struct RunMetrics {
     pub scheduler: &'static str,
     /// Variant: `"mtcg"` (baseline) or `"coco"`.
     pub variant: &'static str,
-    /// Wall-clock nanoseconds spent evaluating this variant (compile
-    /// phases + functional run + timed simulation when requested).
+    /// Wall-clock nanoseconds spent evaluating this variant: compile
+    /// phases plus its one execution (the timed simulation when timed,
+    /// else the functional MT run).
     pub wall_ns: u64,
     /// Dynamic instructions, summed over threads.
     pub instrs: u64,

@@ -1,6 +1,6 @@
 //! One in-order, multi-issue, stall-on-use core.
 
-use gmt_ir::interp::{ExecError, MemoryLayout};
+use gmt_ir::interp::{DynCounts, ExecError, MemoryLayout};
 use gmt_ir::{AddrMode, BlockId, Function, InstrId, Op, Operand, QueueId, Reg};
 
 /// Why a core could not issue its next instruction this cycle.
@@ -69,7 +69,17 @@ pub struct CoreStats {
 impl CoreStats {
     /// Total instructions issued.
     pub fn total_instrs(&self) -> u64 {
-        self.computation + self.communication + self.synchronization
+        self.counts().total()
+    }
+
+    /// Instructions issued, split into the same three classes the
+    /// functional interpreters count.
+    pub fn counts(&self) -> DynCounts {
+        DynCounts {
+            computation: self.computation,
+            communication: self.communication,
+            synchronization: self.synchronization,
+        }
     }
 
     /// Records a stall.

@@ -4,7 +4,7 @@ use crate::cache::{Hierarchy, HitLevel};
 use crate::config::MachineConfig;
 use crate::core::{Core, CoreStats, StallReason};
 use crate::sa::{PendingConsume, SyncArray};
-use gmt_ir::interp::{BlockedOp, DeadlockInfo, ExecError, Memory, MemoryLayout};
+use gmt_ir::interp::{BlockedOp, DeadlockInfo, DynCounts, ExecError, Memory, MemoryLayout};
 use gmt_ir::{BinOp, Function, Op};
 
 /// The result of a timed simulation.
@@ -42,8 +42,18 @@ pub struct SimResult {
 impl SimResult {
     /// Instructions per cycle, across all cores.
     pub fn ipc(&self) -> f64 {
-        let instrs: u64 = self.cores.iter().map(CoreStats::total_instrs).sum();
-        instrs as f64 / self.cycles.max(1) as f64
+        self.counts().total() as f64 / self.cycles.max(1) as f64
+    }
+
+    /// Instructions issued by class, summed over cores: the program's
+    /// dynamic counts, equal to what the functional interpreters
+    /// report for the same program and input.
+    pub fn counts(&self) -> DynCounts {
+        let mut total = DynCounts::default();
+        for c in &self.cores {
+            total.add(c.counts());
+        }
+        total
     }
 }
 
