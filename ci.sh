@@ -22,6 +22,15 @@ cmp target/ci_fig7_parallel.txt target/ci_fig7_serial.txt
 # matrix's simulations, so this also pins them to the interpreter's.
 cmp target/ci_repro_parallel.txt tests/golden/fig_all_quick.txt
 
+# Engine-counts golden: every deterministic field of the quick
+# `--metrics` records — instruction and cycle counts, per-reason stall
+# counters, engine steps, skipped cycles and arbitration probes/hits —
+# must match the pinned run. Host-time (`*_ns`) fields are stripped.
+GMT_JOBS=8 ./target/release/repro --metrics --quick > target/ci_metrics_raw.txt
+grep '^{' target/ci_metrics_raw.txt | sed -E 's/"[a-z_]+_ns":[0-9]+,//g' \
+    > target/ci_metrics_counts.txt
+cmp target/ci_metrics_counts.txt tests/golden/metrics_counts_quick.txt
+
 # Decoded-engine gate: the flat-stream executors must be observably
 # identical to the ID-walking reference executors, the throughput
 # bench must at least run (including the queue-bound skip/noskip
@@ -87,7 +96,8 @@ cmp target/ci_fig7_postverify.txt tests/golden/fig7_quick.txt
 # gmt-pdg/gmt-ir ceiling was lowered 33 -> 30 when the fuzzer's panic
 # burn-down converted the reachable sites (unterminated blocks,
 # oversized memory layouts, out-of-range queue and points-to indices)
-# to typed errors.
+# to typed errors. gmt-sim, gmt-core and gmt-graph are pinned at their
+# counts when they joined the table.
 python3 - <<'EOF'
 import re, pathlib, sys
 pat = re.compile(
@@ -102,6 +112,9 @@ def count(roots):
 BUDGETS = {
     "gmt-mtcg/gmt-sched": (("crates/mtcg/src", "crates/sched/src"), 16),
     "gmt-pdg/gmt-ir": (("crates/pdg/src", "crates/ir/src"), 30),
+    "gmt-sim": (("crates/sim/src",), 5),
+    "gmt-core": (("crates/core/src",), 11),
+    "gmt-graph": (("crates/graph/src",), 12),
 }
 for name, (roots, budget) in BUDGETS.items():
     total = count(roots)

@@ -9,10 +9,10 @@
 //! per function: blocks are laid out into one dense `Vec<DecodedOp>`,
 //! branch/jump targets are resolved to flat stream indices (pcs),
 //! `lea`s are folded to absolute addresses against the memory layout,
-//! and every slot carries its pre-computed functional-unit class,
-//! execution latency, register-use slots, and communication kind, so
-//! the hot loops of `interp`, `interp_mt`, and `gmt-sim` are a single
-//! array index per step.
+//! and every slot is one [`Slot`] record carrying the op with its
+//! pre-computed functional-unit class, execution latency, and
+//! register-use slots, so the hot loops of `interp`, `interp_mt`, and
+//! `gmt-sim` read a single array element per step.
 //!
 //! Executors built on this module are behaviorally *identical* to the
 //! ID-walking reference paths (`interp::run_with_memory_reference`,
@@ -122,23 +122,32 @@ pub enum InstrKind {
 /// Sentinel for an unused register-use slot.
 pub const NO_USE: u32 = u32::MAX;
 
+/// One slot of the flat stream: the op together with the issue
+/// metadata the simulator checks on every issue attempt, so one issue
+/// reads one record.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Slot {
+    /// The pre-decoded op.
+    pub op: DecodedOp,
+    /// Register uses (at most two; [`NO_USE`] fills the rest).
+    pub uses: [u32; 2],
+    /// Execution latency (cycles).
+    pub latency: u32,
+    /// Functional-unit class.
+    pub unit: ExecUnit,
+}
+
 /// A [`Function`] lowered once into a dense, contiguous instruction
 /// stream with all per-instruction metadata pre-computed.
 #[derive(Clone, Debug)]
 pub struct DecodedFunction {
     params: Vec<Reg>,
     num_regs: u32,
-    ops: Vec<DecodedOp>,
+    slots: Vec<Slot>,
     /// Source arena id per slot (error reporting).
     src: Vec<InstrId>,
     /// Containing block per slot (edge profiling).
     block: Vec<BlockId>,
-    /// Functional-unit class per slot.
-    unit: Vec<ExecUnit>,
-    /// Execution latency per slot (cycles).
-    latency: Vec<u32>,
-    /// Register uses per slot (at most two; `NO_USE` fills the rest).
-    uses: Vec<[u32; 2]>,
     entry_pc: u32,
     layout: MemoryLayout,
 }
@@ -215,12 +224,9 @@ impl DecodedFunction {
         let mut d = DecodedFunction {
             params: f.params.clone(),
             num_regs: f.num_regs(),
-            ops: Vec::with_capacity(n),
+            slots: Vec::with_capacity(n),
             src: Vec::with_capacity(n),
             block: Vec::with_capacity(n),
-            unit: Vec::with_capacity(n),
-            latency: Vec::with_capacity(n),
-            uses: Vec::with_capacity(n),
             entry_pc: block_start[f.entry().index()],
             layout: layout.clone(),
         };
@@ -230,27 +236,30 @@ impl DecodedFunction {
             let blk = f.block(b);
             for i in blk.all_instrs() {
                 let op = f.instr(i);
-                let lowered = lower(op, b, layout, &block_start);
                 use_buf.clear();
                 op.uses_into(&mut use_buf);
-                let mut u = [NO_USE; 2];
-                for (slot, r) in u.iter_mut().zip(&use_buf) {
+                let mut uses = [NO_USE; 2];
+                for (slot, r) in uses.iter_mut().zip(&use_buf) {
                     *slot = r.0;
                 }
-                d.ops.push(lowered);
+                d.slots.push(Slot {
+                    op: lower(op, b, layout, &block_start),
+                    uses,
+                    latency: latency_of(op),
+                    unit: unit_of(op),
+                });
                 d.src.push(i);
                 d.block.push(b);
-                d.unit.push(unit_of(op));
-                d.latency.push(latency_of(op));
-                d.uses.push(u);
             }
             if blk.terminator.is_none() {
-                d.ops.push(DecodedOp::Unterminated);
+                d.slots.push(Slot {
+                    op: DecodedOp::Unterminated,
+                    uses: [NO_USE; 2],
+                    latency: 1,
+                    unit: ExecUnit::Branch,
+                });
                 d.src.push(InstrId(u32::MAX));
                 d.block.push(b);
-                d.unit.push(ExecUnit::Branch);
-                d.latency.push(1);
-                d.uses.push([NO_USE; 2]);
             }
         }
         d
@@ -268,7 +277,7 @@ impl DecodedFunction {
 
     /// Number of slots in the flat stream.
     pub fn num_slots(&self) -> usize {
-        self.ops.len()
+        self.slots.len()
     }
 
     /// The pc of the entry block's first instruction.
@@ -276,10 +285,16 @@ impl DecodedFunction {
         self.entry_pc
     }
 
+    /// The slot record at `pc`.
+    #[inline]
+    pub fn slot(&self, pc: u32) -> &Slot {
+        &self.slots[pc as usize]
+    }
+
     /// The op at `pc`.
     #[inline]
     pub fn op(&self, pc: u32) -> DecodedOp {
-        self.ops[pc as usize]
+        self.slots[pc as usize].op
     }
 
     /// The source arena id of the op at `pc`.
@@ -294,22 +309,10 @@ impl DecodedFunction {
         self.block[pc as usize]
     }
 
-    /// The functional-unit class of the op at `pc`.
-    #[inline]
-    pub fn unit(&self, pc: u32) -> ExecUnit {
-        self.unit[pc as usize]
-    }
-
-    /// The execution latency of the op at `pc`.
-    #[inline]
-    pub fn latency(&self, pc: u32) -> u32 {
-        self.latency[pc as usize]
-    }
-
     /// The register-use slots of the op at `pc` ([`NO_USE`]-padded).
     #[inline]
     pub fn uses(&self, pc: u32) -> [u32; 2] {
-        self.uses[pc as usize]
+        self.slots[pc as usize].uses
     }
 
     /// The memory layout the stream was decoded against.
@@ -340,7 +343,10 @@ impl DecodedFunction {
         self.num_regs.hash(&mut h);
         self.params.hash(&mut h);
         self.layout.total_cells().hash(&mut h);
-        self.ops.hash(&mut h);
+        self.slots.len().hash(&mut h);
+        for s in &self.slots {
+            s.op.hash(&mut h);
+        }
         h.finish()
     }
 }
@@ -645,12 +651,14 @@ mod tests {
         for pc in 0..d.num_slots() as u32 {
             match d.op(pc) {
                 DecodedOp::Branch { .. } | DecodedOp::Jump(_) | DecodedOp::Ret(_) => {
-                    assert_eq!(d.unit(pc), ExecUnit::Branch)
+                    assert_eq!(d.slot(pc).unit, ExecUnit::Branch)
                 }
-                DecodedOp::Bin(..) | DecodedOp::Const(..) => assert_eq!(d.unit(pc), ExecUnit::Alu),
+                DecodedOp::Bin(..) | DecodedOp::Const(..) => {
+                    assert_eq!(d.slot(pc).unit, ExecUnit::Alu)
+                }
                 _ => {}
             }
-            assert_eq!(d.latency(pc), 1, "loop_fn has only unit-latency ops");
+            assert_eq!(d.slot(pc).latency, 1, "loop_fn has only unit-latency ops");
         }
     }
 

@@ -2,7 +2,6 @@
 //! MTCG and COCO.
 
 use gmt_ir::{Function, InstrId};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A thread index.
@@ -32,11 +31,19 @@ impl fmt::Display for ThreadId {
 ///
 /// `ret` terminators are assigned like any other instruction; MTCG gives
 /// every generated thread its own return path regardless.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Stored densely: one thread index per [`InstrId::index`], with a
+/// sentinel marking instructions not (yet) placed. The table grows
+/// on demand, so two partitions that assign the same instructions alike
+/// compare equal however far either table has grown.
+#[derive(Clone, Debug)]
 pub struct Partition {
-    thread_of: HashMap<InstrId, ThreadId>,
+    thread_of: Vec<u32>,
     num_threads: u32,
 }
+
+/// Table entry of an unassigned instruction.
+const UNASSIGNED: u32 = u32::MAX;
 
 impl Partition {
     /// Creates an empty partition over `num_threads` threads.
@@ -46,7 +53,7 @@ impl Partition {
     /// Panics if `num_threads == 0`.
     pub fn new(num_threads: u32) -> Partition {
         assert!(num_threads > 0, "at least one thread required");
-        Partition { thread_of: HashMap::new(), num_threads }
+        Partition { thread_of: Vec::new(), num_threads }
     }
 
     /// A partition placing every instruction of `f` on thread 0 —
@@ -69,14 +76,18 @@ impl Partition {
         (0..self.num_threads).map(ThreadId)
     }
 
-    /// Assigns instruction `i` to thread `t`.
+    /// Assigns instruction `i` to thread `t`, replacing any earlier
+    /// assignment.
     ///
     /// # Panics
     ///
     /// Panics if `t` is out of range.
     pub fn assign(&mut self, i: InstrId, t: ThreadId) {
         assert!(t.0 < self.num_threads, "thread {t:?} out of range");
-        self.thread_of.insert(i, t);
+        if i.index() >= self.thread_of.len() {
+            self.thread_of.resize(i.index() + 1, UNASSIGNED);
+        }
+        self.thread_of[i.index()] = t.0;
     }
 
     /// The thread of instruction `i`.
@@ -91,15 +102,26 @@ impl Partition {
 
     /// The thread of instruction `i`, if assigned.
     pub fn get(&self, i: InstrId) -> Option<ThreadId> {
-        self.thread_of.get(&i).copied()
+        match self.thread_of.get(i.index()) {
+            Some(&t) if t != UNASSIGNED => Some(ThreadId(t)),
+            _ => None,
+        }
     }
 
-    /// Instructions assigned to thread `t`, in arbitrary order.
-    pub fn instrs_of(&self, t: ThreadId) -> impl Iterator<Item = InstrId> + '_ {
+    /// Every assigned instruction with its thread, in ascending
+    /// `InstrId` order.
+    fn assigned(&self) -> impl Iterator<Item = (InstrId, ThreadId)> + '_ {
         self.thread_of
             .iter()
-            .filter(move |&(_, &tt)| tt == t)
-            .map(|(&i, _)| i)
+            .enumerate()
+            .filter(|&(_, &t)| t != UNASSIGNED)
+            .map(|(i, &t)| (InstrId(i as u32), ThreadId(t)))
+    }
+
+    /// Instructions assigned to thread `t`, in ascending `InstrId`
+    /// order.
+    pub fn instrs_of(&self, t: ThreadId) -> impl Iterator<Item = InstrId> + '_ {
+        self.assigned().filter(move |&(_, tt)| tt == t).map(|(i, _)| i)
     }
 
     /// Checks that every placed instruction of `f` is assigned to a
@@ -120,7 +142,7 @@ impl Partition {
     /// Per-thread instruction counts (static balance metric).
     pub fn static_sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.num_threads as usize];
-        for &t in self.thread_of.values() {
+        for (_, t) in self.assigned() {
             sizes[t.index()] += 1;
         }
         sizes
@@ -129,12 +151,27 @@ impl Partition {
     /// Per-thread dynamic weight, given per-instruction weights.
     pub fn dynamic_sizes(&self, weight: impl Fn(InstrId) -> u64) -> Vec<u64> {
         let mut sizes = vec![0u64; self.num_threads as usize];
-        for (&i, &t) in &self.thread_of {
+        for (i, t) in self.assigned() {
             sizes[t.index()] += weight(i);
         }
         sizes
     }
+
+    /// The table without its trailing unassigned entries — the part
+    /// that determines equality.
+    fn trimmed(&self) -> &[u32] {
+        let len = self.thread_of.iter().rposition(|&t| t != UNASSIGNED).map_or(0, |p| p + 1);
+        &self.thread_of[..len]
+    }
 }
+
+impl PartialEq for Partition {
+    fn eq(&self, other: &Partition) -> bool {
+        self.num_threads == other.num_threads && self.trimmed() == other.trimmed()
+    }
+}
+
+impl Eq for Partition {}
 
 #[cfg(test)]
 mod tests {
@@ -194,5 +231,75 @@ mod tests {
         let f = tiny();
         let p = Partition::single_threaded(&f);
         assert_eq!(p.instrs_of(ThreadId(0)).count(), 3);
+    }
+
+    #[test]
+    fn equality_ignores_trailing_unassigned_slots() {
+        let mut a = Partition::new(2);
+        a.assign(InstrId(0), ThreadId(1));
+        a.assign(InstrId(2), ThreadId(0));
+        let mut b = a.clone();
+        b.thread_of.resize(64, UNASSIGNED);
+        assert_eq!(a, b, "a longer table of unassigned slots is the same partition");
+        let mut c = Partition::new(2);
+        c.thread_of.reserve(1024);
+        c.assign(InstrId(2), ThreadId(0));
+        c.assign(InstrId(0), ThreadId(1));
+        assert_eq!(a, c, "assignment order and allocation size do not matter");
+        c.assign(InstrId(5), ThreadId(0));
+        assert_ne!(a, c, "an extra assignment does");
+        let mut d = Partition::new(3);
+        d.assign(InstrId(0), ThreadId(1));
+        d.assign(InstrId(2), ThreadId(0));
+        assert_ne!(a, d, "so does the thread count");
+        b.thread_of.fill(UNASSIGNED);
+        assert_eq!(Partition::new(2), b, "empty tables compare equal");
+    }
+
+    #[test]
+    fn get_past_the_table_is_none() {
+        let mut p = Partition::new(2);
+        assert_eq!(p.get(InstrId(0)), None);
+        p.assign(InstrId(3), ThreadId(1));
+        assert_eq!(p.get(InstrId(2)), None, "a gap inside the table");
+        assert_eq!(p.get(InstrId(3)), Some(ThreadId(1)));
+        assert_eq!(p.get(InstrId(4)), None);
+        assert_eq!(p.get(InstrId(u32::MAX)), None);
+    }
+
+    #[test]
+    fn reassignment_overwrites() {
+        let mut p = Partition::new(3);
+        p.assign(InstrId(1), ThreadId(0));
+        p.assign(InstrId(1), ThreadId(2));
+        assert_eq!(p.thread_of(InstrId(1)), ThreadId(2));
+        assert_eq!(p.static_sizes(), vec![0, 0, 1]);
+        assert_eq!(p.instrs_of(ThreadId(0)).count(), 0);
+    }
+
+    #[test]
+    fn sizes_skip_unassigned_slots() {
+        let mut p = Partition::new(2);
+        p.assign(InstrId(1), ThreadId(0));
+        p.assign(InstrId(4), ThreadId(1));
+        p.assign(InstrId(6), ThreadId(1));
+        assert_eq!(p.static_sizes(), vec![1, 2]);
+        let sizes = p.dynamic_sizes(|i| {
+            assert!(p.get(i).is_some(), "weight queried for unassigned {i:?}");
+            u64::from(i.0) * 10
+        });
+        assert_eq!(sizes, vec![10, 100]);
+    }
+
+    #[test]
+    fn instrs_of_ascends() {
+        let mut p = Partition::new(2);
+        for i in [9u32, 2, 7, 0, 5, 3] {
+            p.assign(InstrId(i), ThreadId(i % 2));
+        }
+        let t0: Vec<_> = p.instrs_of(ThreadId(0)).collect();
+        let t1: Vec<_> = p.instrs_of(ThreadId(1)).collect();
+        assert_eq!(t0, vec![InstrId(0), InstrId(2)]);
+        assert_eq!(t1, vec![InstrId(3), InstrId(5), InstrId(7), InstrId(9)]);
     }
 }

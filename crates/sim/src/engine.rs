@@ -42,6 +42,15 @@
 //! wakeup is exactly what `skip_target` would compute, and the bulk
 //! credit loop skips cores already credited), so the byte-identity
 //! guarantee is unchanged.
+//!
+//! # Core rotation
+//!
+//! Each engine step evaluates the cores in rotation for fair sharing of
+//! the synchronization-array ports: core `cycle mod n` first (computed
+//! once per step), then the others in index order, wrapping. A core
+//! that has returned leaves the rotation for good — it would issue
+//! nothing and touch no shared state — and the run ends when the
+//! rotation is empty.
 
 use crate::cache::{Hierarchy, HitLevel};
 use crate::config::MachineConfig;
@@ -49,7 +58,7 @@ use crate::core::{CoreStats, StallReason};
 use crate::sa::{PendingConsume, SyncArray};
 use crate::sim::SimResult;
 use crate::trace::{Arrival, NoTrace, TraceEvent, TraceSink};
-use gmt_ir::decoded::{DecodedFunction, DecodedOp, DecodedProgram, NO_USE};
+use gmt_ir::decoded::{DecodedFunction, DecodedOp, DecodedProgram, Slot, NO_USE};
 use gmt_ir::interp::{BlockedOp, DeadlockInfo, ExecError, Memory, MemoryLayout};
 use gmt_ir::{Function, Operand, QueueId, Reg};
 
@@ -244,13 +253,16 @@ fn run_engine<S: TraceSink>(
     // *can* deliver, are excluded by `self_wakeup`); QueueEmpty trusts
     // the FIFO front entry's fixed visibility cycle, which holds only
     // when no other core can pop that front mid-sleep.
+    // A finished core sleeps forever (`u64::MAX`): it leaves the
+    // rotation for good, and `live` counts the cores still in it.
     let mut asleep_until: Vec<u64> = vec![0; ncores];
+    let mut live = ncores;
     let single_consumer = single_consumer_queues(threads, config.sa.num_queues);
     // Cross-core consume deliveries handed back by `issue_core` (which
     // borrows only its own core) — drained after every call.
     let mut deliveries: Vec<CrossDelivery> = Vec::new();
 
-    while cores.iter().any(|c| !c.finished) {
+    while live > 0 {
         if cycle >= config.max_cycles {
             return Err(ExecError::OutOfFuel);
         }
@@ -260,13 +272,15 @@ fn run_engine<S: TraceSink>(
         engine_steps += 1;
         let mut sa_ports_left = config.sa.ports;
         let mut any_progress = false;
-        // Rotate the start core for SA-port fairness.
-        for k in 0..ncores {
-            let ci = (k + cycle as usize % ncores) % ncores;
+        // Rotate the start core for SA-port fairness: core `cycle mod
+        // n` goes first, then the rest in index order, wrapping.
+        let start = (cycle % ncores as u64) as usize;
+        for ci in (start..ncores).chain(0..start) {
             // A sleeping core replays `stalls[ci]` (already credited
             // through its wakeup) without re-evaluation; it issues
             // nothing and touches no shared state, exactly like the
-            // per-cycle engine's early-out would.
+            // per-cycle engine's early-out would. A finished core
+            // sleeps forever.
             if asleep_until[ci] > cycle {
                 continue;
             }
@@ -294,6 +308,11 @@ fn run_engine<S: TraceSink>(
                 any_progress = true;
             }
             stalls[ci] = outcome.stall;
+            if cores[ci].finished {
+                live -= 1;
+                asleep_until[ci] = u64::MAX;
+                continue;
+            }
             // Memoize the stall when its wakeup is stable (see
             // `asleep_until`): credit the whole span now and skip
             // re-evaluating this core until the wakeup. Cycles that
@@ -302,7 +321,7 @@ fn run_engine<S: TraceSink>(
             // to memoize there would tax every issuing cycle for
             // nothing; a window worth sleeping through re-records the
             // same stall on the next, progress-free evaluation.
-            if opts.fast_forward && !outcome.progressed && !cores[ci].finished {
+            if opts.fast_forward && !outcome.progressed {
                 if let Some((reason, queue)) = outcome.stall {
                     let stable = match reason {
                         StallReason::QueueEmpty => {
@@ -839,13 +858,13 @@ fn issue_core<S: TraceSink>(
 
     while !core.finished && issued < config.issue_width {
         let pc = core.pc;
-        let op = d.op(pc);
-        let ui = d.unit(pc) as usize;
+        let &Slot { op, uses, latency, unit } = d.slot(pc);
+        let ui = unit as usize;
         if used[ui] >= limits[ui] {
             stall!(StallReason::Structural, None);
             break;
         }
-        if !core.operands_ready(d.uses(pc), now) {
+        if !core.operands_ready(uses, now) {
             stall!(StallReason::Operand, None);
             break;
         }
@@ -874,8 +893,7 @@ fn issue_core<S: TraceSink>(
             }
             DecodedOp::Bin(b, dst, x, y) => {
                 let v = b.eval(core.operand(x), core.operand(y));
-                let lat = d.latency(pc) as u64;
-                core.write(dst, v, now + lat);
+                core.write(dst, v, now + u64::from(latency));
                 core.pc += 1;
             }
             DecodedOp::Un(u, dst, x) => {

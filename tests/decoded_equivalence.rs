@@ -17,6 +17,7 @@ use gmt_integration_tests::{compile, program_gen, seeded_partition, Stmt};
 use gmt_ir::decoded::{DecodedFunction, DecodedProgram};
 use gmt_ir::interp::{run_decoded, run_reference, ExecConfig};
 use gmt_ir::interp_mt::{run_mt_decoded, run_mt_reference, QueueConfig};
+use gmt_ir::{BinOp, Function, FunctionBuilder, Op, QueueId};
 use gmt_pdg::Pdg;
 use gmt_sim::{
     check_attribution, simulate_decoded, simulate_decoded_opts, simulate_decoded_traced_opts,
@@ -146,16 +147,18 @@ fn mt_interpreter_matches_reference() {
 
 /// Cycle simulator: the decoded engine reproduces cycle counts, core
 /// statistics, and cache hit counters exactly — single-threaded and on
-/// MTCG-generated thread pairs, under the default and the stressed
-/// machine.
+/// MTCG-generated groups of 2, 3 and 4 threads (so the start-core
+/// rotation runs over more than two cores), under the default and the
+/// stressed machine.
 #[test]
 fn simulator_matches_reference() {
-    let gen: Gen<(Vec<Stmt>, u64)> = program_gen().zip(full_u64());
+    let gen: Gen<(Vec<Stmt>, u64, u32)> =
+        program_gen().zip(full_u64()).zip(ranged(2u32, 5)).map(|((p, s), n)| (p, s, n));
     Checker::new("decoded_equivalence::simulator_matches_reference").cases(32).run(
         &gen,
-        |(program, seed)| {
+        |(program, seed, n)| {
             let f = compile(program);
-            let partition = seeded_partition(&f, 2, *seed);
+            let partition = seeded_partition(&f, *n, *seed);
             let pdg = Pdg::build(&f);
             let out = gmt_mtcg::generate(&f, &pdg, &partition).expect("mtcg");
             for machine in [MachineConfig::default(), stress_machine()] {
@@ -178,6 +181,84 @@ fn simulator_matches_reference() {
             Ok(())
         },
     );
+}
+
+/// `ncores` threads in which core `early` returns at once while the
+/// others run a queue pipeline of `ITERS` iterations: the first live
+/// core sends `0..ITERS`, each later one receives, adds and forwards,
+/// and the last outputs and returns its sum.
+fn early_finisher_threads(ncores: usize, early: usize) -> Vec<Function> {
+    const ITERS: i64 = 1500;
+    let live: Vec<usize> = (0..ncores).filter(|&c| c != early).collect();
+    (0..ncores)
+        .map(|c| {
+            let mut b = FunctionBuilder::new(format!("t{c}"));
+            let Some(pos) = live.iter().position(|&l| l == c) else {
+                b.output(-1i64);
+                b.ret(None);
+                return b.finish().expect("early thread");
+            };
+            let last = pos + 1 == live.len();
+            let i = b.fresh_reg();
+            let acc = b.fresh_reg();
+            b.const_into(i, 0);
+            b.const_into(acc, 0);
+            let header = b.block("h");
+            let body = b.block("b");
+            let exit = b.block("x");
+            b.jump(header);
+            b.switch_to(header);
+            let more = b.bin(BinOp::Lt, i, ITERS);
+            b.branch(more, body, exit);
+            b.switch_to(body);
+            let v = if pos == 0 {
+                i
+            } else {
+                let v = b.fresh_reg();
+                b.emit(Op::Consume { dst: v, queue: QueueId(pos as u32 - 1) });
+                v
+            };
+            if !last {
+                b.emit(Op::Produce { queue: QueueId(pos as u32), value: v.into() });
+            }
+            b.bin_into(BinOp::Add, acc, acc, v);
+            b.bin_into(BinOp::Add, i, i, 1i64);
+            b.jump(header);
+            b.switch_to(exit);
+            b.output(acc);
+            b.ret(last.then_some(acc.into()));
+            b.finish().expect("pipeline thread")
+        })
+        .collect()
+}
+
+/// A core that returns thousands of cycles before its peers leaves
+/// the start-core rotation; the others must keep exactly the issue
+/// order, port share and stall counts of the reference engine. Checked
+/// on 2, 3 and 4 cores with the early finisher in every position, under
+/// the default machine, the stressed one, and one with a single
+/// synchronization-array port (where the rotation decides who sends).
+#[test]
+fn early_finisher_leaves_rotation() {
+    let mut one_port = stress_machine();
+    one_port.sa.ports = 1;
+    for ncores in 2..=4 {
+        for early in 0..ncores {
+            let threads = early_finisher_threads(ncores, early);
+            let program = DecodedProgram::decode(&threads).expect("decode");
+            for machine in [MachineConfig::default(), stress_machine(), one_port.clone()] {
+                let reference = simulate_reference(&threads, &[], |_, _| {}, &machine)
+                    .expect("reference sim");
+                let lead = reference.cycles - reference.cores[early].finished_at;
+                assert!(lead >= 1000, "{ncores} cores, early {early}: only {lead} cycles ahead");
+                if let Err(msg) =
+                    assert_skip_equivalence(&program, &[], |_, _| {}, &machine, &reference)
+                {
+                    panic!("{ncores} cores, early finisher {early}: {msg}");
+                }
+            }
+        }
+    }
 }
 
 /// Regression: every catalog kernel, on its train input, is bit-equal
