@@ -362,8 +362,8 @@ pub fn verify_mt(
         if let Some(bad) = ls.iter().find(|l| (l.from, l.to) != (first.from, first.to)) {
             errs.push(MtVerifyError::QueueSharedAcrossPairs {
                 queue: first.queue,
-                first: first.clone(),
-                second: (*bad).clone(),
+                first: *first,
+                second: **bad,
             });
         }
     }
@@ -390,7 +390,7 @@ pub fn verify_mt(
                     errs.push(MtVerifyError::EndpointViolation {
                         thread: t,
                         instr: i,
-                        label: label.clone(),
+                        label: *label,
                     });
                     continue;
                 }
@@ -777,8 +777,7 @@ fn back_edges(tf: &Function) -> BTreeSet<(BlockId, BlockId)> {
     let entry = tf.entry();
     color[entry.index()] = Color::Gray;
     let mut stack: Vec<(BlockId, Vec<BlockId>, usize)> = vec![(entry, tf.successors(entry), 0)];
-    loop {
-        let Some(frame) = stack.last_mut() else { break };
+    while let Some(frame) = stack.last_mut() {
         if frame.2 >= frame.1.len() {
             color[frame.0.index()] = Color::Black;
             stack.pop();

@@ -16,6 +16,11 @@
 //!
 //! Cached values are the deterministic simulator's cycle counts, so
 //! arbitration decisions are identical with or without the cache.
+//! The cache holds only cycles; the harness keeps the winning
+//! candidate's compile and train-input run itself, and a measurement
+//! on the train input (`repro --quick`) takes the chosen COCO
+//! program's cycles from that run. A winner whose cycles came from a
+//! program-key hit has no run of its own and is simulated again.
 
 use gmt_ir::Function;
 use gmt_pdg::Partition;

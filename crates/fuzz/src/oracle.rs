@@ -398,7 +398,7 @@ fn sim_cross_check(
     // conservation laws must hold on arbitrary generated programs —
     // every per-core attribution sums to the cycle count, and the
     // reconstructed critical path's edges cover the run exactly.
-    if seq.counts.total() % 3 == 0 {
+    if seq.counts.total().is_multiple_of(3) {
         let mut sink = (
             TraceAggregator::new(threads.len(), machine.sa.num_queues, 256),
             CritPathSink::new(&program, machine.sa.num_queues),

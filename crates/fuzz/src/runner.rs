@@ -182,7 +182,7 @@ pub fn fuzz_run(opts: &FuzzOptions) -> Result<FuzzStats, String> {
         let seed = splitmix64(&mut state);
         run_seed(seed, "", opts, &mut stats);
         stats.fresh += 1;
-        if !opts.quiet && stats.fresh % 500 == 0 {
+        if !opts.quiet && stats.fresh.is_multiple_of(500) {
             println!(
                 "... {} cases ({} rejected, {} findings, {:.1}s)",
                 stats.fresh,

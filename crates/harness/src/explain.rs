@@ -85,8 +85,8 @@ pub fn explain_cell(
 ) -> Result<ExplainCell, HarnessError> {
     let b = w.benchmark;
     let train = w.run_train().map_err(fail(b, "train run"))?;
-    let (base, opt, _arb) = parallelize_pair(w, kind, &train.profile)?;
-    let p = if coco { &opt } else { &base };
+    let compiled = parallelize_pair(w, kind, &train.profile)?;
+    let p = if coco { &compiled.coco } else { &compiled.base };
     let machine = machine_for(p, kind);
     let program =
         gmt_ir::decoded::DecodedProgram::decode(p.threads()).map_err(fail(b, "decode"))?;
@@ -169,11 +169,7 @@ fn verdict_groups(cp: &CritPath) -> [(&'static str, u64); 4] {
 
 /// Integer percent of `part` in `total` (0 when `total` is 0).
 fn pct(part: u64, total: u64) -> u64 {
-    if total == 0 {
-        0
-    } else {
-        part * 100 / total
-    }
+    (part * 100).checked_div(total).unwrap_or(0)
 }
 
 /// The human-readable explain report: deterministic (no wall-clock

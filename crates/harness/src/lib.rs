@@ -12,7 +12,10 @@
 //! counters, split the same three ways — the dynamic instruction
 //! counts. Either way each variant's return value and output trace
 //! must match the sequential run's. Profiles are always collected on
-//! *train* inputs and measurements on *ref* inputs.
+//! *train* inputs and measurements on *ref* inputs. GREMIO's partition
+//! arbitration already simulates the chosen MTCG+COCO program on the
+//! train input, so a timed measurement on that input (`--quick`) takes
+//! it from there instead of running it again.
 //!
 //! The experiment matrix is embarrassingly parallel, so [`run_all`]
 //! fans the per-benchmark evaluations out over the
@@ -41,7 +44,8 @@
 use gmt_core::{CocoConfig, Parallelized, Parallelizer, ScheduleCache, Scheduler};
 use gmt_ir::interp::DynCounts;
 use gmt_ir::interp_mt::{run_mt, QueueConfig};
-use gmt_sim::{simulate, MachineConfig};
+use gmt_pdg::{Partition, Pdg};
+use gmt_sim::{simulate, MachineConfig, SimResult};
 use gmt_workloads::{catalog, exec_config, Workload};
 use std::time::Instant;
 
@@ -49,7 +53,7 @@ pub use explain::{
     explain_cell, explain_json, explain_report, verdict, ExplainCell, EXPLAIN_TOP_K,
 };
 pub use metrics::{metrics_table, stall_table, RunMetrics, StallBreakdown};
-pub use verify::{verify_cell, verify_matrix, verify_table, VerifyCell};
+pub use verify::{verify_matrix, verify_pair, verify_table, VerifyCell};
 pub use trace_report::{
     comm_attribution_table, queue_comm_table, trace_cell, TracedCell, TRACE_RING_CAPACITY,
 };
@@ -254,6 +258,12 @@ pub fn evaluate(
 /// through the functional interpreters. Either way every variant's
 /// return value and output trace must equal the sequential run's.
 ///
+/// When the measured input is the train input (as at [`Scale::Quick`])
+/// and GREMIO arbitration already simulated the chosen COCO program on
+/// it, that run is the timed COCO run: same program, same input, same
+/// machine. It still goes through the output check, and the COCO
+/// record's run time is the probe's simulation time.
+///
 /// # Errors
 ///
 /// Returns a [`HarnessError`] naming the benchmark and the failing
@@ -282,22 +292,9 @@ pub fn evaluate_full(
             .map_err(fail(b, "sequential run"))?
     };
 
-    let (base, coco, arb) = parallelize_pair(w, kind, &train.profile)?;
+    let Compiled { base, coco, arb, train_sim, .. } = parallelize_pair(w, kind, &train.profile)?;
 
-    let run_variant = |p: &Parallelized, phase: &'static str| -> Result<Run, HarnessError> {
-        let t = Instant::now();
-        let mut run = if timed {
-            simulate(p.threads(), args, w.init, &machine_for(p, kind)).map(Run::from)
-        } else {
-            let queues = QueueConfig {
-                num_queues: p.num_queues().max(1) as usize,
-                capacity: kind.queue_depth(),
-            };
-            run_mt(p.threads(), args, w.init, &queues, &exec_config())
-                .map(|r| Run::functional(r.totals(), r.return_value, r.output))
-        }
-        .map_err(fail(b, phase))?;
-        run.ns = t.elapsed().as_nanos() as u64;
+    let check = |run: Run, phase: &'static str| -> Result<Run, HarnessError> {
         if (run.return_value, &run.output) != (seq.return_value, &seq.output) {
             return Err(HarnessError {
                 benchmark: b,
@@ -313,10 +310,31 @@ pub fn evaluate_full(
         }
         Ok(run)
     };
+    let run_variant = |p: &Parallelized, phase: &'static str| -> Result<Run, HarnessError> {
+        let t = Instant::now();
+        let mut run = if timed {
+            simulate(p.threads(), args, w.init, &machine_for(p, kind)).map(Run::from)
+        } else {
+            let queues = QueueConfig {
+                num_queues: p.num_queues().max(1) as usize,
+                capacity: kind.queue_depth(),
+            };
+            run_mt(p.threads(), args, w.init, &queues, &exec_config())
+                .map(|r| Run::functional(r.totals(), r.return_value, r.output))
+        }
+        .map_err(fail(b, phase))?;
+        run.ns = t.elapsed().as_nanos() as u64;
+        check(run, phase)
+    };
     let (mtcg_phase, coco_phase) =
         if timed { ("timed MTCG sim", "timed COCO sim") } else { ("MTCG run", "COCO run") };
     let mtcg = run_variant(&base, mtcg_phase)?;
-    let coco_run = run_variant(&coco, coco_phase)?;
+    let coco_run = match train_sim {
+        Some(sim) if timed && args == w.train_args.as_slice() => {
+            check(Run { ns: sim.ns, ..Run::from(sim.result) }, coco_phase)?
+        }
+        _ => run_variant(&coco, coco_phase)?,
+    };
 
     let result = BenchResult {
         benchmark: b,
@@ -369,8 +387,8 @@ impl Run {
     }
 }
 
-impl From<gmt_sim::SimResult> for Run {
-    fn from(sim: gmt_sim::SimResult) -> Run {
+impl From<SimResult> for Run {
+    fn from(sim: SimResult) -> Run {
         Run {
             counts: sim.counts(),
             cycles: sim.cycles,
@@ -384,137 +402,190 @@ impl From<gmt_sim::SimResult> for Run {
     }
 }
 
-/// Produces the (baseline MTCG, MTCG+COCO) pair for one workload and
-/// scheduler, both over the same partition.
+/// Everything one (kernel, scheduler) compile produces — what
+/// [`evaluate_full`] measures, and what `--verify-mt`, `--trace` and
+/// `--explain` inspect.
+struct Compiled {
+    /// The kernel's PDG, built once for both variants.
+    pdg: Pdg,
+    /// Baseline MTCG over the chosen partition.
+    base: Parallelized,
+    /// MTCG+COCO over the same partition.
+    coco: Parallelized,
+    /// The arbitration's schedule-cache statistics.
+    arb: ArbStats,
+    /// The COCO program's simulation on `w.train_args`, when GREMIO
+    /// arbitration ran it.
+    train_sim: Option<ProbeSim>,
+}
+
+/// An arbitration probe's timed run on the train input.
+struct ProbeSim {
+    /// The simulator's result.
+    result: SimResult,
+    /// Host time of the simulation.
+    ns: u64,
+}
+
+/// A candidate's COCO compile and its train-input simulation.
+struct Probe {
+    coco: Parallelized,
+    sim: ProbeSim,
+}
+
+/// Compiles the (baseline MTCG, MTCG+COCO) pair for one workload and
+/// scheduler, both over the same partition and one PDG.
 ///
-/// DSWP uses the analytic partitioner directly. For GREMIO —
-/// whose candidate schedules' real throughput depends on queue
-/// round-trips the analytic score cannot see — the candidates are
-/// arbitrated by *timed runs of the generated (COCO) code on the train
-/// input*: profile-guided partition selection, with the single-threaded
-/// fallback guaranteeing the partitioner never degrades the program.
-/// A candidate that fails to compile simply loses the arbitration
-/// (probe cost `u64::MAX`); only a failure on the *chosen* partition
-/// surfaces as an error.
-///
-/// Probe results are memoized in a [`ScheduleCache`], so the guard's
-/// re-probes of the winner (and any candidates that compile to
-/// identical decoded code) skip the recompile and resimulation; the
-/// returned [`ArbStats`] report the cache's probe/hit counts.
+/// DSWP uses the analytic partitioner directly; GREMIO picks its
+/// partition by [`arbitrate`]. The COCO variant is the winning probe's
+/// own compile, and its train-input run comes along; only a partition
+/// without a probe of its own (no parallel candidate, or cycles served
+/// by a program-key hit) is compiled again.
 fn parallelize_pair(
     w: &Workload,
     kind: SchedulerKind,
     profile: &gmt_ir::Profile,
-) -> Result<(Parallelized, Parallelized, ArbStats), HarnessError> {
+) -> Result<Compiled, HarnessError> {
     let b = w.benchmark;
-    match kind {
+    let t = Instant::now();
+    let pdg = Pdg::build(&w.function);
+    let pdg_build_ns = t.elapsed().as_nanos() as u64;
+    let t = Instant::now();
+    let (chosen, probe, arb) = match kind {
         SchedulerKind::Dswp => {
-            let base = Parallelizer::new(kind.scheduler())
-                .parallelize(&w.function, profile)
-                .map_err(fail(b, "baseline parallelization"))?;
-            let coco = Parallelizer::new(kind.scheduler())
-                .with_coco(CocoConfig::default())
-                .parallelize(&w.function, profile)
-                .map_err(fail(b, "coco parallelization"))?;
-            Ok((base, coco, ArbStats::default()))
+            let cfg = gmt_sched::dswp::DswpConfig::default();
+            let p = gmt_sched::dswp::partition(&w.function, &pdg, profile, &cfg)
+                .map_err(fail(b, "dswp partition"))?;
+            (p, None, ArbStats::default())
         }
-        SchedulerKind::Gremio => {
-            let t = Instant::now();
-            let pdg = gmt_pdg::Pdg::build(&w.function);
-            let pdg_build_ns = t.elapsed().as_nanos() as u64;
-            let t = Instant::now();
-            let cfg = gmt_sched::gremio::GremioConfig::default();
-            let candidates = gmt_sched::gremio::candidates(&w.function, &pdg, profile, &cfg)
-                .map_err(fail(b, "gremio candidate enumeration"))?;
-            // GREMIO's own schedule: the analytically best genuinely-
-            // parallel candidate ("genuinely" = the lighter thread owns
-            // a meaningful share of the code, not a token offload).
-            let block_weights = profile.block_weights(&w.function);
-            let meaningful = |p: &gmt_pdg::Partition| {
-                let sizes =
-                    p.dynamic_sizes(|i| block_weights[w.function.block_of(i).index()].max(1));
-                let total: u64 = sizes.iter().sum();
-                sizes.iter().filter(|&&s| s > 0).count() > 1
-                    && sizes.iter().min().copied().unwrap_or(0) * 10 >= total
-            };
-            // Timed arbitration probe: a candidate that fails to
-            // parallelize or simulate scores u64::MAX and loses.
-            // Memoized two ways — by partition assignment, and by the
-            // structural hash of the generated decoded program mixed
-            // with the machine knobs that affect timing.
-            let mut cache = ScheduleCache::new();
-            let mut cycles_probe = |partition: &gmt_pdg::Partition| -> u64 {
-                let pkey = gmt_core::partition_key(&w.function, partition);
-                if let Some(cycles) = cache.probe_partition(&pkey) {
-                    return cycles;
-                }
-                let Ok(coco) = Parallelizer::new(kind.scheduler())
-                    .with_coco(CocoConfig::default())
-                    .parallelize_with_partition(&w.function, profile, &pdg, partition.clone())
-                else {
-                    cache.record_partition(pkey, u64::MAX);
-                    return u64::MAX;
-                };
-                let machine = machine_for(&coco, kind);
-                let Ok(program) = gmt_ir::decoded::DecodedProgram::decode(coco.threads()) else {
-                    cache.record_partition(pkey, u64::MAX);
-                    return u64::MAX;
-                };
-                let mut knobs = vec![machine.sa.num_queues as u64];
-                knobs.extend(machine.sa.depths.iter().map(|&d| d as u64));
-                let gkey = gmt_core::program_key(program.structural_hash(), &knobs);
-                if let Some(cycles) = cache.probe_program(gkey) {
-                    cache.record_partition(pkey, cycles);
-                    return cycles;
-                }
-                let cycles = gmt_sim::simulate_decoded(&program, &w.train_args, w.init, &machine)
-                    .map_or(u64::MAX, |r| r.cycles);
-                cache.record(pkey, gkey, cycles);
-                cycles
-            };
-            let best_mt = candidates
-                .iter()
-                .filter(|(_, p)| meaningful(p))
-                .min_by_key(|(_, p)| cycles_probe(p))
-                .map(|(_, p)| p.clone());
-            // Arbitrate against the true single-threaded layout, not a
-            // token-offload candidate.
-            let single = {
-                let mut p = gmt_pdg::Partition::new(2);
-                for i in w.function.all_instrs() {
-                    p.assign(i, gmt_pdg::ThreadId(0));
-                }
-                p
-            };
-            // Timed arbitration on the train input: keep the parallel
-            // schedule unless it clearly loses (>10% slower) to running
-            // single-threaded — the partitioner must never degrade the
-            // program.
-            let chosen = match best_mt {
-                Some(mt)
-                    if cycles_probe(&mt) as f64 <= cycles_probe(&single) as f64 * 1.10 =>
-                {
-                    mt
-                }
-                _ => single,
-            };
-            let partition_ns = t.elapsed().as_nanos() as u64;
-            let arb = ArbStats { probes: cache.probes(), hits: cache.hits() };
+        SchedulerKind::Gremio => arbitrate(w, kind, profile, &pdg)?,
+    };
+    let partition_ns = t.elapsed().as_nanos() as u64;
 
-            let mut base = Parallelizer::new(kind.scheduler())
-                .parallelize_with_partition(&w.function, profile, &pdg, chosen.clone())
-                .map_err(fail(b, "baseline parallelization"))?;
-            let mut coco = Parallelizer::new(kind.scheduler())
+    let mut base = Parallelizer::new(kind.scheduler())
+        .parallelize_with_partition(&w.function, profile, &pdg, chosen.clone())
+        .map_err(fail(b, "baseline parallelization"))?;
+    let (mut coco, train_sim) = match probe {
+        Some(Probe { coco, sim }) => (coco, Some(sim)),
+        None => {
+            let coco = Parallelizer::new(kind.scheduler())
                 .with_coco(CocoConfig::default())
                 .parallelize_with_partition(&w.function, profile, &pdg, chosen)
                 .map_err(fail(b, "coco parallelization"))?;
-            for p in [&mut base, &mut coco] {
-                p.timings.pdg_build_ns = pdg_build_ns;
-                p.timings.partition_ns = partition_ns;
-            }
-            Ok((base, coco, arb))
+            (coco, None)
+        }
+    };
+    for p in [&mut base, &mut coco] {
+        p.timings.pdg_build_ns = pdg_build_ns;
+        p.timings.partition_ns = partition_ns;
+    }
+    Ok(Compiled { pdg, base, coco, arb, train_sim })
+}
+
+/// GREMIO's partition choice. The candidates' real throughput depends
+/// on queue round-trips the analytic score cannot see, so they are
+/// arbitrated by *timed runs of the generated (COCO) code on the train
+/// input*: profile-guided partition selection, with the
+/// single-threaded fallback guaranteeing the partitioner never
+/// degrades the program. A candidate that fails to compile or simulate
+/// simply loses the arbitration (probe cost `u64::MAX`); only a failure
+/// on the *chosen* partition surfaces, later, as an error.
+///
+/// Probe results are memoized in a [`ScheduleCache`], so the guard's
+/// re-probe of the winner (and any candidates that compile to
+/// identical decoded code) skip the recompile and resimulation; the
+/// returned [`ArbStats`] report the cache's probe/hit counts. Only the
+/// running winner's and the fallback's [`Probe`]s are kept: a loser's
+/// compile and run are dropped as soon as it loses.
+fn arbitrate(
+    w: &Workload,
+    kind: SchedulerKind,
+    profile: &gmt_ir::Profile,
+    pdg: &Pdg,
+) -> Result<(Partition, Option<Probe>, ArbStats), HarnessError> {
+    let cfg = gmt_sched::gremio::GremioConfig::default();
+    let candidates = gmt_sched::gremio::candidates(&w.function, pdg, profile, &cfg)
+        .map_err(fail(w.benchmark, "gremio candidate enumeration"))?;
+    // GREMIO's own schedule: the analytically best genuinely-parallel
+    // candidate ("genuinely" = the lighter thread owns a meaningful
+    // share of the code, not a token offload).
+    let block_weights = profile.block_weights(&w.function);
+    let meaningful = |p: &Partition| {
+        let sizes = p.dynamic_sizes(|i| block_weights[w.function.block_of(i).index()].max(1));
+        let total: u64 = sizes.iter().sum();
+        sizes.iter().filter(|&&s| s > 0).count() > 1
+            && sizes.iter().min().copied().unwrap_or(0) * 10 >= total
+    };
+    // Timed arbitration probe: the candidate's cycles, and its compile
+    // and run when this probe made them. Memoized two ways — by
+    // partition assignment, and by the structural hash of the
+    // generated decoded program mixed with the machine knobs that
+    // affect timing.
+    let mut cache = ScheduleCache::new();
+    let mut cycles_probe = |partition: &Partition| -> (u64, Option<Probe>) {
+        let pkey = gmt_core::partition_key(&w.function, partition);
+        if let Some(cycles) = cache.probe_partition(&pkey) {
+            return (cycles, None);
+        }
+        let Ok(coco) = Parallelizer::new(kind.scheduler())
+            .with_coco(CocoConfig::default())
+            .parallelize_with_partition(&w.function, profile, pdg, partition.clone())
+        else {
+            cache.record_partition(pkey, u64::MAX);
+            return (u64::MAX, None);
+        };
+        let machine = machine_for(&coco, kind);
+        let Ok(program) = gmt_ir::decoded::DecodedProgram::decode(coco.threads()) else {
+            cache.record_partition(pkey, u64::MAX);
+            return (u64::MAX, None);
+        };
+        let mut knobs = vec![machine.sa.num_queues as u64];
+        knobs.extend(machine.sa.depths.iter().map(|&d| d as u64));
+        let gkey = gmt_core::program_key(program.structural_hash(), &knobs);
+        if let Some(cycles) = cache.probe_program(gkey) {
+            cache.record_partition(pkey, cycles);
+            return (cycles, None);
+        }
+        let t = Instant::now();
+        let sim = gmt_sim::simulate_decoded(&program, &w.train_args, w.init, &machine);
+        let ns = t.elapsed().as_nanos() as u64;
+        let cycles = sim.as_ref().map_or(u64::MAX, |r| r.cycles);
+        cache.record(pkey, gkey, cycles);
+        (cycles, sim.ok().map(|result| Probe { coco, sim: ProbeSim { result, ns } }))
+    };
+    // The first candidate with the fewest cycles wins.
+    let mut best: Option<(u64, &Partition, Option<Probe>)> = None;
+    for (_, p) in candidates.iter().filter(|(_, p)| meaningful(p)) {
+        let (cycles, probe) = cycles_probe(p);
+        if best.as_ref().is_none_or(|&(c, ..)| cycles < c) {
+            best = Some((cycles, p, probe));
         }
     }
+    // Arbitrate against the true single-threaded layout, not a
+    // token-offload candidate.
+    let mut single = Partition::new(2);
+    for i in w.function.all_instrs() {
+        single.assign(i, gmt_pdg::ThreadId(0));
+    }
+    // Timed arbitration on the train input: keep the parallel schedule
+    // unless it clearly loses (>10% slower) to running single-threaded
+    // — the partitioner must never degrade the program. The guard
+    // re-probes the winner through the cache (a partition hit) before
+    // probing the fallback.
+    let (chosen, probe) = match best {
+        Some((_, mt, mt_probe)) => {
+            let (mt_cycles, _) = cycles_probe(mt);
+            let (single_cycles, single_probe) = cycles_probe(&single);
+            if mt_cycles as f64 <= single_cycles as f64 * 1.10 {
+                (mt.clone(), mt_probe)
+            } else {
+                (single, single_probe)
+            }
+        }
+        None => (single, None),
+    };
+    let arb = ArbStats { probes: cache.probes(), hits: cache.hits() };
+    Ok((chosen, probe, arb))
 }
 
 /// The default machine with its cycle budget set to the workload
@@ -599,7 +670,7 @@ pub fn thread_scaling(
 ) -> Result<Vec<ScalingPoint>, HarnessError> {
     let b = w.benchmark;
     let train = w.run_train().map_err(fail(b, "train run"))?;
-    let pdg = gmt_pdg::Pdg::build(&w.function);
+    let pdg = Pdg::build(&w.function);
     threads
         .iter()
         .map(|&n| {
@@ -746,6 +817,56 @@ mod tests {
         assert_eq!(m.timings.coco_ns, 0, "baseline variant runs no COCO");
         assert!(c.timings.coco_ns > 0, "COCO variant times the optimizer");
         assert!(m.timings.pdg_build_ns > 0 && m.timings.partition_ns > 0);
+    }
+
+    /// Every quick GREMIO cell carries its COCO program's train-input
+    /// run out of arbitration, and that run is observably the run a
+    /// fresh simulation of the compiled COCO program would give.
+    #[test]
+    fn reused_coco_run_equals_fresh_simulation() {
+        for w in catalog() {
+            let train = w.run_train().expect("train run");
+            let c = parallelize_pair(&w, SchedulerKind::Gremio, &train.profile).expect("compiles");
+            let reused = c.train_sim.expect("the chosen partition was probed").result;
+            let machine = machine_for(&c.coco, SchedulerKind::Gremio);
+            let fresh = simulate(c.coco.threads(), &w.train_args, w.init, &machine).expect("sim");
+            let b = w.benchmark;
+            assert_eq!(reused.cycles, fresh.cycles, "{b}: cycles");
+            assert_eq!(reused.counts(), fresh.counts(), "{b}: counts");
+            assert_eq!(reused.cores, fresh.cores, "{b}: per-core stats");
+            assert_eq!(reused.engine_steps, fresh.engine_steps, "{b}: engine steps");
+            assert_eq!(reused.skipped_cycles, fresh.skipped_cycles, "{b}: skipped cycles");
+            assert_eq!(reused.output, fresh.output, "{b}: output");
+            assert_eq!(reused.return_value, fresh.return_value, "{b}: return value");
+        }
+    }
+
+    /// DSWP's one-PDG path compiles what two `Parallelizer::parallelize`
+    /// calls (one PDG build and partition each) would.
+    #[test]
+    fn dswp_one_pdg_matches_parallelize() {
+        for w in catalog() {
+            let train = w.run_train().expect("train run");
+            let c = parallelize_pair(&w, SchedulerKind::Dswp, &train.profile).expect("compiles");
+            let base = Parallelizer::new(SchedulerKind::Dswp.scheduler());
+            let coco = base.clone().with_coco(CocoConfig::default());
+            for (got, par) in [(&c.base, base), (&c.coco, coco)] {
+                let want = par.parallelize(&w.function, &train.profile).expect("parallelizes");
+                let hash = |p: &Parallelized| {
+                    gmt_ir::decoded::DecodedProgram::decode(p.threads())
+                        .expect("decodes")
+                        .structural_hash()
+                };
+                let b = w.benchmark;
+                assert_eq!(
+                    gmt_core::partition_key(&w.function, &got.partition),
+                    gmt_core::partition_key(&w.function, &want.partition),
+                    "{b}: partition"
+                );
+                assert_eq!(hash(got), hash(&want), "{b}: decoded program");
+                assert_eq!(got.queue_depths, want.queue_depths, "{b}: queue depths");
+            }
+        }
     }
 
     #[test]

@@ -75,7 +75,10 @@ pub struct RunMetrics {
     pub variant: &'static str,
     /// Wall-clock nanoseconds spent evaluating this variant: compile
     /// phases plus its one execution (the timed simulation when timed,
-    /// else the functional MT run).
+    /// else the functional MT run). When a GREMIO cell is measured on
+    /// the train input, the COCO record's execution is the arbitration
+    /// probe's simulation of the chosen program, whose time (like its
+    /// COCO and MTCG phases) also lies inside `partition_ns`.
     pub wall_ns: u64,
     /// Dynamic instructions, summed over threads.
     pub instrs: u64,
@@ -308,12 +311,16 @@ mod tests {
 
     #[test]
     fn stall_breakdown_sums_cores() {
-        let mut a = gmt_sim::CoreStats::default();
-        a.stall_operand = 2;
-        a.stall_queue_empty = 3;
-        let mut b = gmt_sim::CoreStats::default();
-        b.stall_operand = 5;
-        b.stall_queue_full = 7;
+        let a = gmt_sim::CoreStats {
+            stall_operand: 2,
+            stall_queue_empty: 3,
+            ..gmt_sim::CoreStats::default()
+        };
+        let b = gmt_sim::CoreStats {
+            stall_operand: 5,
+            stall_queue_full: 7,
+            ..gmt_sim::CoreStats::default()
+        };
         let s = StallBreakdown::from_cores(&[a, b]);
         assert_eq!(s.operand, 7);
         assert_eq!(s.queue_full, 7);

@@ -71,8 +71,8 @@ pub fn trace_cell(
 ) -> Result<TracedCell, HarnessError> {
     let b = w.benchmark;
     let train = w.run_train().map_err(fail(b, "train run"))?;
-    let (base, opt, _arb) = parallelize_pair(w, kind, &train.profile)?;
-    let p = if coco { &opt } else { &base };
+    let compiled = parallelize_pair(w, kind, &train.profile)?;
+    let p = if coco { &compiled.coco } else { &compiled.base };
     let machine = machine_for(p, kind);
     let program =
         gmt_ir::decoded::DecodedProgram::decode(p.threads()).map_err(fail(b, "decode"))?;
@@ -156,9 +156,9 @@ pub fn queue_comm_table(cell: &TracedCell) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<6} {:>9} {:>9} {:>9} {:>11} {:>11} {:>8} {:>11}  {}",
+        "{:<6} {:>9} {:>9} {:>9} {:>11} {:>11} {:>8} {:>11}  plan",
         "queue", "produces", "consumes", "deferred", "full-stall", "empty-stall", "max-occ",
-        "occ-dwell", "plan"
+        "occ-dwell"
     );
     let mut any = false;
     for (q, qs) in cell.queues.iter().enumerate() {

@@ -14,9 +14,9 @@
 //! depth, and fresh values at every communication point (Defs. 1–2 of
 //! the paper).
 
-use crate::{fail, HarnessError, SchedulerKind};
-use gmt_core::{CocoConfig, MtVerifyError, Parallelizer};
-use gmt_pdg::Pdg;
+use crate::{fail, parallelize_pair, Compiled, HarnessError, SchedulerKind};
+use gmt_core::{MtVerifyError, Parallelized};
+use gmt_pdg::Partition;
 use gmt_workloads::{catalog, Workload};
 
 /// One cell of the verification matrix.
@@ -37,6 +37,9 @@ pub struct VerifyCell {
     pub queues: u32,
     /// Protocol violations (empty = the cell verifies).
     pub errors: Vec<MtVerifyError>,
+    /// The partition the verified code was generated from — the one
+    /// the figures measure.
+    pub partition: Partition,
 }
 
 impl VerifyCell {
@@ -57,56 +60,54 @@ impl VerifyCell {
     }
 }
 
-/// Verifies one (kernel, scheduler, ±COCO) configuration.
+/// Verifies both variants — baseline MTCG, then MTCG+COCO — of one
+/// (kernel, scheduler) configuration, from the same compile record
+/// [`evaluate_full`](crate::evaluate_full) measures: for GREMIO, the
+/// partition that timed arbitration chose.
 ///
 /// # Errors
 ///
 /// Returns a [`HarnessError`] if profiling or parallelization itself
 /// fails; validator findings are *not* errors here — they come back in
 /// [`VerifyCell::errors`].
-pub fn verify_cell(
-    w: &Workload,
-    kind: SchedulerKind,
-    coco: bool,
-) -> Result<VerifyCell, HarnessError> {
+pub fn verify_pair(w: &Workload, kind: SchedulerKind) -> Result<[VerifyCell; 2], HarnessError> {
     let b = w.benchmark;
     let train = w.run_train().map_err(fail(b, "train run"))?;
-    let mut par = Parallelizer::new(kind.scheduler());
-    if coco {
-        par = par.with_coco(CocoConfig::default());
-    }
-    let r = par.parallelize(&w.function, &train.profile).map_err(fail(b, "parallelization"))?;
-    let pdg = Pdg::build(&w.function);
+    let Compiled { pdg, base, coco, .. } = parallelize_pair(w, kind, &train.profile)?;
     // Verify at the *allocated* per-queue depths (hot loop-carried
     // queues at the scheduler's paper depth, cold ones at 1) — the
     // depths a depth-aware synchronization array would provision, and
     // strictly harsher on back-pressure than the old uniform scalar.
-    let errors = gmt_core::verify_mt(&w.function, &r.partition, &pdg, &r.output, &r.queue_depths);
-    Ok(VerifyCell {
+    let cell = |r: Parallelized, coco: bool| VerifyCell {
         benchmark: b,
         scheduler: kind.name(),
         coco,
         hot_depth: kind.queue_depth(),
         queues: r.num_queues(),
+        errors: gmt_core::verify_mt(&w.function, &r.partition, &pdg, &r.output, &r.queue_depths),
         depths: r.queue_depths,
-        errors,
-    })
+        partition: r.partition,
+    };
+    Ok([cell(base, false), cell(coco, true)])
 }
 
 /// Runs the whole matrix — catalog × {GREMIO, DSWP} × {±COCO} — on
 /// `jobs` workers, in deterministic (catalog, scheduler, variant)
-/// order.
+/// order. A configuration that fails to compile fills both of its
+/// variants' slots with the error.
 pub fn verify_matrix(jobs: usize) -> Vec<Result<VerifyCell, HarnessError>> {
-    let mut cells: Vec<(Workload, SchedulerKind, bool)> = Vec::new();
-    for w in catalog() {
-        for kind in [SchedulerKind::Gremio, SchedulerKind::Dswp] {
-            for coco in [false, true] {
-                let w = gmt_workloads::by_benchmark(w.benchmark).expect("catalog name");
-                cells.push((w, kind, coco));
-            }
-        }
-    }
-    gmt_testkit::par_map(cells, jobs, |_i, (w, kind, coco)| verify_cell(&w, kind, coco))
+    let workloads = catalog();
+    let pairs: Vec<(&Workload, SchedulerKind)> = workloads
+        .iter()
+        .flat_map(|w| [(w, SchedulerKind::Gremio), (w, SchedulerKind::Dswp)])
+        .collect();
+    gmt_testkit::par_map(pairs, jobs, |_i, (w, kind)| verify_pair(w, kind))
+        .into_iter()
+        .flat_map(|r| match r {
+            Ok([base, coco]) => [Ok(base), Ok(coco)],
+            Err(e) => [Err(e.clone()), Err(e)],
+        })
+        .collect()
 }
 
 /// Renders the matrix results as a fixed-width table, one line per
@@ -156,13 +157,14 @@ pub fn verify_table(results: &[Result<VerifyCell, HarnessError>]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{evaluate_full, machine_for, Scale};
+    use gmt_core::{CocoConfig, Parallelizer};
 
     #[test]
     fn one_cell_verifies() {
         let w = gmt_workloads::by_benchmark("ks").unwrap();
-        for coco in [false, true] {
-            let c = verify_cell(&w, SchedulerKind::Dswp, coco).expect("pipeline runs");
-            assert!(c.ok(), "ks/DSWP/coco={coco} violates the protocol: {:?}", c.errors);
+        for c in verify_pair(&w, SchedulerKind::Dswp).expect("pipeline runs") {
+            assert!(c.ok(), "ks/DSWP/coco={} violates the protocol: {:?}", c.coco, c.errors);
             assert_eq!(c.hot_depth, 32);
             assert_eq!(c.depths.len(), c.queues as usize, "one depth per queue");
             assert!(c.depths.iter().all(|&d| d == 1 || d == 32), "{:?}", c.depths);
@@ -172,10 +174,57 @@ mod tests {
     #[test]
     fn table_marks_clean_cells_ok() {
         let w = gmt_workloads::by_benchmark("ks").unwrap();
-        let cell = verify_cell(&w, SchedulerKind::Gremio, true).unwrap();
+        let [_, cell] = verify_pair(&w, SchedulerKind::Gremio).unwrap();
         let table = verify_table(&[Ok(cell)]);
         assert!(table.contains("GREMIO"), "{table}");
         assert!(table.contains("ok"), "{table}");
         assert!(!table.contains("FAIL"), "{table}");
+    }
+
+    /// All 44 cells verify the partition the figures measure: it is
+    /// the compile record's, and a fresh compile of it, simulated on
+    /// the train input, gives the cycles the quick timed evaluation
+    /// reports.
+    #[test]
+    fn verified_partitions_are_measured() {
+        let results = verify_matrix(gmt_testkit::num_jobs());
+        assert_eq!(results.len(), 44);
+        let workloads = catalog();
+        let mut cells = results.iter();
+        for w in &workloads {
+            let train = w.run_train().expect("train run");
+            for kind in [SchedulerKind::Gremio, SchedulerKind::Dswp] {
+                let compiled = parallelize_pair(w, kind, &train.profile).expect("compiles");
+                let measured = evaluate_full(w, kind, true, Scale::Quick).expect("evaluates");
+                let r = measured.result;
+                for (p, variant) in [(&compiled.base, r.mtcg), (&compiled.coco, r.coco)] {
+                    let cell = cells.next().expect("a cell per variant");
+                    let cell = cell.as_ref().expect("verifies");
+                    let label = format!("{}/{}/coco={}", w.benchmark, kind.name(), cell.coco);
+                    assert!(cell.ok(), "{label}: {:?}", cell.errors);
+                    assert_eq!(
+                        gmt_core::partition_key(&w.function, &cell.partition),
+                        gmt_core::partition_key(&w.function, &p.partition),
+                        "{label}: verified partition is the compile record's"
+                    );
+                    let mut par = Parallelizer::new(kind.scheduler());
+                    if cell.coco {
+                        par = par.with_coco(CocoConfig::default());
+                    }
+                    let fresh = par
+                        .parallelize_with_partition(
+                            &w.function,
+                            &train.profile,
+                            &compiled.pdg,
+                            cell.partition.clone(),
+                        )
+                        .expect("recompiles");
+                    let machine = machine_for(&fresh, kind);
+                    let sim = gmt_sim::simulate(fresh.threads(), &w.train_args, w.init, &machine)
+                        .expect("simulates");
+                    assert_eq!(sim.cycles, variant.cycles, "{label}: verified code is measured");
+                }
+            }
+        }
     }
 }

@@ -46,32 +46,41 @@ fn drifting_init(layout: &MemoryLayout, mem: &mut Memory) {
     mem.cells_mut()[base..base + LEN as usize].fill(v);
 }
 
-/// `sum(x[0..n])`, printed and returned, over [`drifting_init`] input.
-fn miscompiled() -> Workload {
+/// `sum(x[0..n])` and `sum(x[0..n] * 3)` by two independent loops,
+/// both printed, over `init`'s input. GREMIO runs the loops on
+/// separate threads.
+fn miscompiled(init: fn(&MemoryLayout, &mut Memory)) -> Workload {
     let mut b = FunctionBuilder::new("drifting_sum");
     let n = b.param();
     let x = b.object("x", LEN as u64);
-    let i = b.fresh_reg();
-    let s = b.fresh_reg();
-    let header = b.block("header");
-    let body = b.block("body");
-    let exit = b.block("exit");
     let base = b.lea(x, 0);
-    b.const_into(i, 0);
-    b.const_into(s, 0);
-    b.jump(header);
-    b.switch_to(header);
-    let c = b.bin(BinOp::Lt, i, n);
-    b.branch(c, body, exit);
-    b.switch_to(body);
-    let addr = b.bin(BinOp::Add, base, i);
-    let v = b.load(addr, 0);
-    b.bin_into(BinOp::Add, s, s, v);
-    b.bin_into(BinOp::Add, i, i, 1i64);
-    b.jump(header);
-    b.switch_to(exit);
-    b.output(s);
-    b.ret(Some(s.into()));
+    let mut sums = Vec::new();
+    for scale in [1i64, 3] {
+        let i = b.fresh_reg();
+        let s = b.fresh_reg();
+        let header = b.block("header");
+        let body = b.block("body");
+        let exit = b.block("exit");
+        b.const_into(i, 0);
+        b.const_into(s, 0);
+        b.jump(header);
+        b.switch_to(header);
+        let c = b.bin(BinOp::Lt, i, n);
+        b.branch(c, body, exit);
+        b.switch_to(body);
+        let addr = b.bin(BinOp::Add, base, i);
+        let v = b.load(addr, 0);
+        let v = b.bin(BinOp::Mul, v, scale);
+        b.bin_into(BinOp::Add, s, s, v);
+        b.bin_into(BinOp::Add, i, i, 1i64);
+        b.jump(header);
+        b.switch_to(exit);
+        sums.push(s);
+    }
+    for &s in &sums {
+        b.output(s);
+    }
+    b.ret(Some(sums[0].into()));
     let mut function = b.finish().expect("verifies");
     gmt_ir::split_critical_edges(&mut function);
     Workload {
@@ -82,7 +91,7 @@ fn miscompiled() -> Workload {
         function,
         train_args: vec![LEN],
         ref_args: vec![LEN],
-        init: drifting_init,
+        init,
     }
 }
 
@@ -94,7 +103,7 @@ fn output_mismatch_is_a_typed_error() {
     for timed in [false, true] {
         let workloads = vec![
             gmt_workloads::by_benchmark("adpcmdec").expect("adpcmdec exists"),
-            miscompiled(),
+            miscompiled(drifting_init),
         ];
         let out = run_workloads(workloads, SchedulerKind::Dswp, timed, Scale::Quick, 2);
         assert!(out[0].is_ok(), "timed={timed}: the sibling cell completes");
@@ -102,4 +111,54 @@ fn output_mismatch_is_a_typed_error() {
         assert_eq!(err.benchmark, "miscompiled");
         assert_eq!(err.phase, "output check", "timed={timed}: {err}");
     }
+}
+
+static WINDOW_CALLS: AtomicI64 = AtomicI64::new(0);
+static WINDOW: [AtomicI64; 2] = [AtomicI64::new(0), AtomicI64::new(0)];
+
+/// Fills the input with 1, or with 2 on the calls whose index lies in
+/// `WINDOW` — a drift confined to chosen executions.
+fn windowed_init(layout: &MemoryLayout, mem: &mut Memory) {
+    let k = WINDOW_CALLS.fetch_add(1, Ordering::Relaxed);
+    let [from, to] = WINDOW.each_ref().map(|b| b.load(Ordering::Relaxed));
+    let inside = (from..to).contains(&k);
+    let base = layout.base(ObjectId(0)) as usize;
+    mem.cells_mut()[base..base + LEN as usize].fill(if inside { 2 } else { 1 });
+}
+
+/// Executions of one timed GREMIO evaluation of [`windowed_init`]
+/// input, with the drift window set to `window`.
+fn windowed_run(
+    w: &Workload,
+    scale: Scale,
+    window: [i64; 2],
+) -> (i64, Result<gmt_harness::Evaluation, gmt_harness::HarnessError>) {
+    WINDOW_CALLS.store(0, Ordering::Relaxed);
+    for (bound, v) in WINDOW.iter().zip(window) {
+        bound.store(v, Ordering::Relaxed);
+    }
+    let r = gmt_harness::evaluate_full(w, SchedulerKind::Gremio, true, scale);
+    (WINDOW_CALLS.load(Ordering::Relaxed), r)
+}
+
+/// GREMIO's timed COCO run is its arbitration probe's exactly when the
+/// measured input is the train input, whatever the scale, and that run
+/// still goes through the output check: input that drifts only during
+/// arbitration fails the cell.
+#[test]
+fn reused_probe_run_is_output_checked() {
+    let mut w = miscompiled(windowed_init);
+    let (quick, r) = windowed_run(&w, Scale::Quick, [0, 0]);
+    r.expect("steady input evaluates");
+    w.ref_args = vec![LEN - 1];
+    let (full, r) = windowed_run(&w, Scale::Full, [0, 0]);
+    r.expect("steady input evaluates");
+    assert_eq!(full, quick + 1, "only the train-input cell reuses its probe run");
+    // Calls: train run, sequential sim, the probe sims, the MTCG sim.
+    let probes = quick - 3;
+    w.ref_args = w.train_args.clone();
+    let (_, r) = windowed_run(&w, Scale::Full, [2, 2 + probes]);
+    let err = r.expect_err("the drifted probe run fails the check");
+    assert_eq!(err.phase, "output check", "{err}");
+    assert!(err.source.starts_with("timed COCO sim"), "{err}");
 }

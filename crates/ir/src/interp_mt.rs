@@ -486,7 +486,7 @@ mod tests {
         let qc = QueueConfig { num_queues: 2, capacity: 1 };
         // Both executors reject the misallocated queue id before any
         // thread takes a step.
-        let err = run_mt(&[f.clone()], &[], |_, _| {}, &qc, &ExecConfig::default()).unwrap_err();
+        let err = run_mt(std::slice::from_ref(&f), &[], |_, _| {}, &qc, &ExecConfig::default()).unwrap_err();
         assert!(matches!(err, ExecError::InvalidConfig(_)));
         let err = run_mt_reference(&[f], &[], |_, _| {}, &qc, &ExecConfig::default()).unwrap_err();
         assert!(matches!(err, ExecError::InvalidConfig(_)));
@@ -513,7 +513,7 @@ mod tests {
         let b = FunctionBuilder::new("stub");
         let f = b.finish_unverified(); // entry block, no terminator
         let qc = QueueConfig::default();
-        let err = run_mt(&[f.clone()], &[], |_, _| {}, &qc, &ExecConfig::default()).unwrap_err();
+        let err = run_mt(std::slice::from_ref(&f), &[], |_, _| {}, &qc, &ExecConfig::default()).unwrap_err();
         assert!(
             matches!(&err, ExecError::InvalidConfig(m) if m.contains("terminator")),
             "decoded: {err:?}"

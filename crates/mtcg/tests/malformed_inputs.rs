@@ -18,7 +18,7 @@ fn holed_partition(f: &gmt_ir::Function, n: u32, seed: u64) -> Partition {
     let mut p = Partition::new(n);
     for (k, i) in f.all_instrs().enumerate() {
         // Always drop instruction `seed % total`; drop others sparsely.
-        let drop = k == (seed % total as u64) as usize || seed.rotate_left(k as u32) % 7 == 0;
+        let drop = k == (seed % total as u64) as usize || seed.rotate_left(k as u32).is_multiple_of(7);
         if !drop {
             p.assign(i, full.thread_of(i));
         }

@@ -203,7 +203,7 @@ impl MachineConfig {
                     self.sa.depths.len()
                 ));
             }
-            if self.sa.depths.iter().any(|&d| d == 0) {
+            if self.sa.depths.contains(&0) {
                 return Err("sa.depth must be at least 1 for every queue".to_string());
             }
         }
@@ -305,8 +305,7 @@ mod tests {
 
     #[test]
     fn zero_values_rejected() {
-        let mut m = MachineConfig::default();
-        m.issue_width = 0;
+        let m = MachineConfig { issue_width: 0, ..MachineConfig::default() };
         assert!(m.validate().unwrap_err().contains("issue_width"));
 
         let mut m = MachineConfig::default();
@@ -340,8 +339,10 @@ mod tests {
 
     #[test]
     fn zero_penalty_with_zero_latency_sa_rejected() {
-        let mut m = MachineConfig::default();
-        m.branch_model = BranchModel::StaticBtfn { penalty: 0 };
+        let mut m = MachineConfig {
+            branch_model: BranchModel::StaticBtfn { penalty: 0 },
+            ..MachineConfig::default()
+        };
         assert_eq!(m.validate(), Ok(()), "penalty 0 alone is fine");
         m.sa.latency = 0;
         assert!(m.validate().unwrap_err().contains("degenerate"));

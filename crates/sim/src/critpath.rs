@@ -307,7 +307,7 @@ impl CritPathSink {
         }
         let mut start_core = None;
         for (ci, &fin) in self.finished_at.iter().enumerate() {
-            if start_core.map_or(true, |(_, best)| fin > best) {
+            if start_core.is_none_or(|(_, best)| fin > best) {
                 start_core = Some((ci, fin));
             }
         }

@@ -741,7 +741,7 @@ fn take_arrival(core: &mut DCore, d: &DecodedFunction, pc: u32) -> Arrival {
             for &u in d.uses(pc).iter() {
                 if u != NO_USE {
                     let ready = core.ready[u as usize];
-                    if best.map_or(true, |(r, _)| ready > r) {
+                    if best.is_none_or(|(r, _)| ready > r) {
                         best = Some((ready, core.writer[u as usize]));
                     }
                 }

@@ -1114,9 +1114,11 @@ mod tests {
 
     #[test]
     fn no_trace_is_disabled() {
-        assert!(!NoTrace::ENABLED);
-        assert!(TraceAggregator::ENABLED);
-        assert!(!<(NoTrace, NoTrace) as TraceSink>::ENABLED);
-        assert!(<(NoTrace, TraceAggregator) as TraceSink>::ENABLED);
+        const {
+            assert!(!NoTrace::ENABLED);
+            assert!(TraceAggregator::ENABLED);
+            assert!(!<(NoTrace, NoTrace) as TraceSink>::ENABLED);
+            assert!(<(NoTrace, TraceAggregator) as TraceSink>::ENABLED);
+        }
     }
 }

@@ -130,8 +130,10 @@ fn arbitrary_queue_configs_never_panic() {
 #[test]
 fn zero_penalty_zero_latency_sa_combo_is_rejected_up_front() {
     let threads = producer_consumer();
-    let mut config = MachineConfig::default();
-    config.branch_model = BranchModel::StaticBtfn { penalty: 0 };
+    let mut config = MachineConfig {
+        branch_model: BranchModel::StaticBtfn { penalty: 0 },
+        ..MachineConfig::default()
+    };
 
     // Penalty 0 alone: valid, simulates normally.
     let r = simulate(&threads, &[], |_, _| {}, &config).expect("penalty 0 alone is valid");

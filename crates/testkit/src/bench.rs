@@ -168,7 +168,7 @@ fn summarize(group: &str, name: &str, samples_ns: &[f64], iters: u64) -> BenchSt
     let var = samples_ns.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n;
     let mut sorted = samples_ns.to_vec();
     sorted.sort_by(f64::total_cmp);
-    let median = if sorted.len() % 2 == 0 {
+    let median = if sorted.len().is_multiple_of(2) {
         (sorted[sorted.len() / 2 - 1] + sorted[sorted.len() / 2]) / 2.0
     } else {
         sorted[sorted.len() / 2]

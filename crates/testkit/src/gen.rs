@@ -144,7 +144,7 @@ mod tests {
         let mut rng = TestRng::new(5);
         for _ in 0..100 {
             let v = g.sample(&mut rng);
-            assert!(v < 20 && v % 2 == 0);
+            assert!(v < 20 && v.is_multiple_of(2));
         }
     }
 
